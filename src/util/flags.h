@@ -12,17 +12,19 @@
 //   --help, -h       recognised automatically (Result::kHelp)
 //
 // Registration order is presentation order in print_usage().  Unknown
-// options and malformed values yield Result::kError with error() set;
-// targets already parsed by then keep their new values, so callers should
-// treat a kError parse as fatal (every binary here exits 2).
+// options and malformed or out-of-range values yield Result::kError with
+// error() set; targets already parsed by then keep their new values, so
+// callers should treat a kError parse as fatal (every binary here exits 2).
 //
 // Thread-safety: none -- a FlagParser is built, used and dropped on one
 // thread during startup.  Target pointers must outlive parse().
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -51,33 +53,15 @@ class FlagParser {
   }
 
   void add_uint32(const char* name, std::uint32_t* target, const char* help) {
-    add_value(name, help, [target](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return false;
-      *target = static_cast<std::uint32_t>(parsed);
-      return true;
-    });
+    add_integer(name, target, help);
   }
 
   void add_uint16(const char* name, std::uint16_t* target, const char* help) {
-    add_value(name, help, [target](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return false;
-      *target = static_cast<std::uint16_t>(parsed);
-      return true;
-    });
+    add_integer(name, target, help);
   }
 
   void add_int32(const char* name, std::int32_t* target, const char* help) {
-    add_value(name, help, [target](const std::string& v) {
-      char* end = nullptr;
-      const long parsed = std::strtol(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return false;
-      *target = static_cast<std::int32_t>(parsed);
-      return true;
-    });
+    add_integer(name, target, help);
   }
 
   /// Repeatable value flag: every `--name=<v>` occurrence appends to
@@ -130,11 +114,34 @@ class FlagParser {
     std::string help;
     bool takes_value;
     std::function<bool(const std::string&)> set;
+    std::string expected = {};  // value shape named in errors ("" = none)
   };
 
   void add_value(const char* name, const char* help,
-                 std::function<bool(const std::string&)> set) {
-    flags_.push_back(Flag{name, help, /*takes_value=*/true, std::move(set)});
+                 std::function<bool(const std::string&)> set,
+                 std::string expected = {}) {
+    flags_.push_back(Flag{name, help, /*takes_value=*/true, std::move(set),
+                          std::move(expected)});
+  }
+
+  /// Decimal integer flag for any integer type T: the whole value must
+  /// parse and fit T exactly.  No wrap-around, and unsigned targets reject
+  /// a sign (std::from_chars accepts '-' only for signed types and '+'
+  /// never).
+  template <typename T>
+  void add_integer(const char* name, T* target, const char* help) {
+    add_value(
+        name, help,
+        [target](const std::string& v) {
+          T parsed{};
+          const char* end = v.data() + v.size();
+          const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
+          if (ec != std::errc{} || ptr != end) return false;
+          *target = parsed;
+          return true;
+        },
+        "an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
+            ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
   }
 
   bool parse_one(const std::string& arg) {
@@ -153,6 +160,7 @@ class FlagParser {
         const std::string value = arg.substr(eq + 1);
         if (!f.set(value)) {
           error_ = "bad value for " + f.name + ": '" + value + "'";
+          if (!f.expected.empty()) error_ += " (expected " + f.expected + ")";
           return false;
         }
         return true;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace edm::util {
@@ -168,6 +171,91 @@ TEST(FlagParser, BadValueErrorQuotesTheValue) {
             FlagParser::Result::kError);
   EXPECT_NE(parser.error().find("bad value for --osds: '12q'"),
             std::string::npos);
+}
+
+// --- integer range: no silent wrap-around ---------------------------
+
+/// Parses one argument against a fresh parser holding `--name` bound to a
+/// T that starts at `initial`; returns the error ("" on success) and
+/// leaves the target value in *out.
+template <typename T>
+std::string parse_integer_flag(const char* name, const char* arg, T initial,
+                               T* out) {
+  *out = initial;
+  FlagParser parser;
+  if constexpr (std::is_same_v<T, std::uint16_t>) {
+    parser.add_uint16(name, out, "");
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    parser.add_uint32(name, out, "");
+  } else {
+    parser.add_int32(name, out, "");
+  }
+  auto argv = make_argv({arg});
+  const auto result = parser.parse(static_cast<int>(argv.size()), argv.data());
+  return result == FlagParser::Result::kOk ? "" : parser.error();
+}
+
+TEST(FlagParser, Uint16AboveRangeIsRejectedNotWrapped) {
+  // 65537 used to wrap to 1 through a static_cast.
+  std::uint16_t clients = 0;
+  const std::string err =
+      parse_integer_flag<std::uint16_t>("--clients", "--clients=65537", 8,
+                                        &clients);
+  EXPECT_NE(err.find("bad value for --clients: '65537'"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("[0, 65535]"), std::string::npos) << err;
+  EXPECT_EQ(clients, 8u);
+}
+
+TEST(FlagParser, UnsignedTargetRejectsNegativeValue) {
+  // -1 used to wrap to 65535 (strtoul negates after conversion).
+  std::uint16_t clients = 0;
+  const std::string err = parse_integer_flag<std::uint16_t>(
+      "--clients", "--clients=-1", 8, &clients);
+  EXPECT_NE(err.find("bad value for --clients: '-1'"), std::string::npos)
+      << err;
+  EXPECT_EQ(clients, 8u);
+  std::uint32_t osds = 0;
+  EXPECT_NE(parse_integer_flag<std::uint32_t>("--osds", "--osds=+4", 16, &osds),
+            "");
+  EXPECT_EQ(osds, 16u);
+}
+
+TEST(FlagParser, Uint32AboveRangeIsRejectedNotWrapped) {
+  // 4294967304 = 2^32 + 8 used to truncate to 8.
+  std::uint32_t osds = 0;
+  const std::string err = parse_integer_flag<std::uint32_t>(
+      "--osds", "--osds=4294967304", 16, &osds);
+  EXPECT_NE(err.find("bad value for --osds: '4294967304'"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("[0, 4294967295]"), std::string::npos) << err;
+  EXPECT_EQ(osds, 16u);
+}
+
+TEST(FlagParser, Int32AboveRangeIsRejectedNotWrapped) {
+  // 4294967295 used to truncate to -1, silently disabling the failure.
+  std::int32_t fail_osd = 0;
+  const std::string err = parse_integer_flag<std::int32_t>(
+      "--fail-osd", "--fail-osd=4294967295", -1, &fail_osd);
+  EXPECT_NE(err.find("bad value for --fail-osd: '4294967295'"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("[-2147483648, 2147483647]"), std::string::npos) << err;
+  EXPECT_EQ(fail_osd, -1);
+}
+
+TEST(FlagParser, IntegerRangeEndpointsAreAccepted) {
+  std::uint16_t u16 = 0;
+  EXPECT_EQ(parse_integer_flag<std::uint16_t>("--n", "--n=65535", 1, &u16), "");
+  EXPECT_EQ(u16, 65535u);
+  std::uint32_t u32 = 0;
+  EXPECT_EQ(
+      parse_integer_flag<std::uint32_t>("--n", "--n=4294967295", 1, &u32), "");
+  EXPECT_EQ(u32, 4294967295u);
+  std::int32_t i32 = 0;
+  EXPECT_EQ(
+      parse_integer_flag<std::int32_t>("--n", "--n=-2147483648", 1, &i32), "");
+  EXPECT_EQ(i32, std::numeric_limits<std::int32_t>::min());
 }
 
 TEST(FlagParser, UsageListsEveryFlag) {
