@@ -3,7 +3,8 @@
 #
 #  1. every src/<subsystem> has a docs/internals page,
 #  2. every --flag registered in bench/, tools/, src/util, src/runner is
-#     documented in docs/MANUAL.md,
+#     documented in docs/MANUAL.md, and every --flag in a MANUAL.md table
+#     row is registered by one of them (no rows for deleted flags),
 #  3. every intra-repo markdown link in *.md resolves to a real file.
 #
 #   tools/check_docs.sh
@@ -74,6 +75,16 @@ for flag in $flags; do
   [[ "$flag" == "--help" ]] && continue  # synthesised by FlagParser
   grep -q -- "\`$flag" docs/MANUAL.md ||
     err "flag $flag is not documented in docs/MANUAL.md"
+done
+
+# Reverse direction: a `--flag` in a manual table row that no binary
+# registers documents a flag that is gone (a stale row for a deleted
+# option or bench).
+for flag in $(grep -E '^\|' docs/MANUAL.md | grep -oE '`--[a-z0-9-]+' |
+  tr -d '`' | sort -u); do
+  [[ "$flag" == "--help" ]] && continue  # synthesised by FlagParser
+  grep -qxF -- "$flag" <<<"$flags" ||
+    err "docs/MANUAL.md documents $flag, which no binary registers"
 done
 
 # Belt and braces for the flash parallelism surface: every --flash-*
