@@ -125,30 +125,10 @@ class Cluster {
   const FastExtent& fast_extent(ObjectId oid) const { return fast_[oid]; }
 
   /// Device time for an I/O resolved through `fe` (== fast_extent(io.oid),
-  /// honoured: fe.pages != 0 and fe.osd == io.osd).  Range clamping mirrors
-  /// ObjectStore::map_range; an out-of-range or empty request costs nothing.
-  ///
-  /// Shard-safety: this touches exactly one OSD's flash device and reads
-  /// nothing mutable elsewhere, so the sharded replay may call it from the
-  /// worker that owns io.osd's shard while other shards run concurrently --
-  /// provided no two threads ever address the same OSD (the osd % shards
-  /// partition guarantees that) and no cluster mutation overlaps the batch
-  /// (the simulator's calm certificate guarantees that).
-  SimDuration fast_extent_io(const FastExtent& fe, const OsdIo& io) {
-    if (io.first_page >= fe.pages || io.pages == 0) return 0;
-    const std::uint32_t n = std::min(io.pages, fe.pages - io.first_page);
-    flash::Ssd& ssd = osd(io.osd).ssd();
-    return io.is_write ? ssd.write_range(fe.first + io.first_page, n)
-                       : ssd.read_range(fe.first + io.first_page, n);
-  }
-
-  /// Timed twin of fast_extent_io for parallel-geometry devices: `at` is
-  /// the absolute time the I/O is dispatched into the device.  Same
-  /// shard-safety contract; flat devices behave identically to the untimed
-  /// form.  Note the speculation path deliberately does NOT use this --
-  /// predicting dispatch through die queues requires the device-time
-  /// ordering the serial replay provides, so parallel-geometry OSDs
-  /// forfeit the calm certificate instead (see Simulator::calm()).
+  /// honoured: fe.pages != 0 and fe.osd == io.osd), dispatched into the
+  /// device at absolute time `at` (flat devices ignore it).  Range
+  /// clamping mirrors ObjectStore::map_range; an out-of-range or empty
+  /// request costs nothing.
   SimDuration fast_extent_io_at(const FastExtent& fe, const OsdIo& io,
                                 SimTime at) {
     if (io.first_page >= fe.pages || io.pages == 0) return 0;

@@ -77,34 +77,23 @@ SimDuration Ssd::maybe_collect_for_write(std::uint32_t dom) {
   const std::uint64_t erases_before = stats_.erase_count;
   const SimDuration gc_us = collect_garbage(dom);
   if (tel_ != nullptr && gc_us > 0) {
-    const GcTelemetryEvent ev{gc_us, stats_.gc_page_moves - moves_before,
-                              stats_.erase_count - erases_before};
-    if (gc_sink_ != nullptr) {
-      // A shard worker is speculating: the recorder's clock is stale here,
-      // so park the event for the master to emit at consume time.
-      gc_sink_->push_back(ev);
-    } else {
-      emit_gc_event(ev);
+    const std::uint64_t page_moves = stats_.gc_page_moves - moves_before;
+    const std::uint64_t erases = stats_.erase_count - erases_before;
+    if (auto* tracer = tel_->tracer()) {
+      // The stall is charged to the host write at the recorder's current
+      // DES time; the span covers the device-time the GC consumed.
+      tracer->complete(telemetry::Category::kGc, "gc",
+                       telemetry::track_osd(tel_device_), tel_->now(), gc_us,
+                       "page_moves", static_cast<double>(page_moves),
+                       "erases", static_cast<double>(erases));
+    }
+    if (tel_gc_runs_ != nullptr) {
+      tel_gc_runs_->inc();
+      tel_gc_page_moves_->add(page_moves);
+      tel_gc_stall_us_->add(gc_us);
     }
   }
   return gc_us;
-}
-
-void Ssd::emit_gc_event(const GcTelemetryEvent& ev) {
-  if (tel_ == nullptr) return;
-  if (auto* tracer = tel_->tracer()) {
-    // The stall is charged to the host write at the recorder's current
-    // DES time; the span covers the device-time the GC consumed.
-    tracer->complete(telemetry::Category::kGc, "gc",
-                     telemetry::track_osd(tel_device_), tel_->now(), ev.gc_us,
-                     "page_moves", static_cast<double>(ev.page_moves),
-                     "erases", static_cast<double>(ev.erases));
-  }
-  if (tel_gc_runs_ != nullptr) {
-    tel_gc_runs_->inc();
-    tel_gc_page_moves_->add(ev.page_moves);
-    tel_gc_stall_us_->add(ev.gc_us);
-  }
 }
 
 SimDuration Ssd::write(Lpn lpn) {

@@ -1,8 +1,6 @@
 #include "runner/sweep.h"
 
-#include <algorithm>
 #include <fstream>
-#include <thread>
 
 #include "runner/progress.h"
 #include "runner/seed.h"
@@ -21,14 +19,6 @@ std::string indexed_path(const std::string& path, std::size_t index,
     return path + suffix;
   }
   return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-std::size_t budgeted_jobs(std::size_t jobs, std::uint32_t shards_per_run) {
-  if (shards_per_run <= 1 || jobs == 1) return jobs;
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::max<std::size_t>(1, jobs / shards_per_run);
 }
 
 void apply_telemetry(sim::ExperimentConfig& cfg, const TelemetrySinks& sinks) {
@@ -121,11 +111,9 @@ std::vector<sim::RunResult> run_sweep(std::vector<sim::ExperimentConfig> cells,
                                       const SweepOptions& opt) {
   for (auto& cfg : cells) apply_telemetry(cfg, opt.sinks);
   if (opt.derive_seeds) apply_seed_derivation(cells, opt.base_seed);
-  SweepOptions eff = opt;
-  eff.jobs = budgeted_jobs(opt.jobs, opt.shards_per_run);
   auto results = parallel_map<sim::RunResult>(
       cells.size(), [&](std::size_t i) { return sim::run_experiment(cells[i]); },
-      eff);
+      opt);
   write_sweep_outputs(results, opt.sinks);
   return results;
 }

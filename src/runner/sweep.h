@@ -53,14 +53,6 @@ struct SweepOptions {
   /// calling thread (today's single-thread behaviour), N = exactly N.
   std::size_t jobs = 0;
 
-  /// Threads each run spawns internally (SimConfig::shards of the cells).
-  /// The sweep divides its own worker count by this -- runs x shards is
-  /// the real core demand, and oversubscribing a sweep of sharded replays
-  /// slows every run.  Purely a budget hint: it never changes results
-  /// (determinism holds at any jobs value) and never touches the cells'
-  /// own shard setting.
-  std::uint32_t shards_per_run = 1;
-
   /// When true, run i gets trace_seed_offset = derive_seed(base_seed, i).
   bool derive_seeds = false;
   std::uint64_t base_seed = 0;
@@ -75,11 +67,6 @@ struct SweepOptions {
 /// "out.json" -> "out-3.json"; single-run sweeps keep the path verbatim.
 std::string indexed_path(const std::string& path, std::size_t index,
                          std::size_t total);
-
-/// Sweep worker count under a runs x shards budget: `jobs` (0 = hardware
-/// threads) divided by shards_per_run, floored at 1.  jobs == 1 stays
-/// serial regardless of sharding.
-std::size_t budgeted_jobs(std::size_t jobs, std::uint32_t shards_per_run);
 
 /// Maps the sink settings onto one cell's TelemetryConfig (enables the
 /// tracer/metrics/sampler that the requested output files need).

@@ -32,9 +32,6 @@ void SimConfig::validate(std::uint32_t num_osds) const {
   if (num_clients == 0) {
     throw std::invalid_argument("SimConfig: num_clients must be > 0");
   }
-  if (shards == 0) {
-    throw std::invalid_argument("SimConfig: shards must be >= 1");
-  }
   if (osd_queue_depth == 0) {
     throw std::invalid_argument("SimConfig: osd_queue_depth must be >= 1");
   }
@@ -106,11 +103,9 @@ Simulator::Simulator(SimConfig config, cluster::Cluster& cluster,
     servers_.emplace_back(cfg_.load_ewma_alpha);
     // Flat (paper-model) devices are definitionally serial: depth 1 no
     // matter the knob.  Parallel-geometry devices honour the configured
-    // depth and forfeit the sharded replay's speculation (fast_extent_io
-    // cannot predict dispatch through die queues out of order).
+    // depth.
     const bool parallel = cluster_.osd(i).ssd().parallel_timing();
     osd_qd_.push_back(parallel ? cfg_.osd_queue_depth : 1);
-    if (parallel) spec_forfeit_ = true;
   }
   // Assign records to replay lanes by the trace's client tag, folded onto
   // the configured client count ("all trace records of multiple users are
@@ -239,27 +234,22 @@ RunResult Simulator::run() {
   }
   if (clients_active() || mover_active()) {
     events_.push(cfg_.epoch_length_us, EventKind::kEpochTick, 0);
-    epoch_tick_scheduled_ = true;
-    next_epoch_tick_ = cfg_.epoch_length_us;
   }
   if (tel_sampler_ != nullptr && (clients_active() || mover_active())) {
     events_.push(tel_sampler_->interval_us(), EventKind::kTelemetrySample, 0);
-    sample_tick_scheduled_ = true;
-    next_sample_tick_ = tel_sampler_->interval_us();
   }
   if (monitor_ != nullptr && (clients_active() || mover_active())) {
     events_.push(cfg_.health.check_interval_us, EventKind::kHealthCheck, 0);
-    health_tick_scheduled_ = true;
-    next_health_tick_ = cfg_.health.check_interval_us;
   }
   schedule_next_fault();
 
-  if (cfg_.shards > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(cfg_.shards);
-    spec_.resize(servers_.size());
-    run_sharded();
-  } else {
-    run_serial();
+  while (!events_.empty()) {
+    const Event e = events_.pop();
+    ++events_processed_;
+    // The recorder's clock shadows the DES clock so passive layers (flash,
+    // cluster, policies) can timestamp without being handed `now`.
+    if (tel_ != nullptr) tel_->set_now(e.time);
+    handle_event(e);
   }
   if (clients_active() || mover_active() || rebuild_running_) {
     throw std::logic_error(
@@ -277,16 +267,6 @@ RunResult Simulator::run() {
   out.completed_ops = completed_ops_;
   out.makespan_us = last_completion_;
   out.perf.events_processed = events_processed_;
-  out.perf.shards = cfg_.shards;
-  out.perf.spec_batches = spec_batches_;
-  out.perf.speculated_ios = spec_ios_;
-  out.perf.spec_forfeit_geometry = spec_forfeit_geometry_n_;
-  out.perf.spec_forfeit_faults = spec_forfeit_faults_n_;
-  out.perf.spec_forfeit_failure = spec_forfeit_failure_n_;
-  out.perf.spec_forfeit_rebuild = spec_forfeit_rebuild_n_;
-  out.perf.spec_forfeit_trigger = spec_forfeit_trigger_n_;
-  out.perf.spec_excluded_osds = spec_excluded_osds_n_;
-  out.perf.spec_tainted_breaks = spec_tainted_breaks_n_;
   out.total_objects = cluster_.object_count();
 
   out.per_osd.resize(servers_.size());
@@ -420,285 +400,6 @@ void Simulator::handle_event(const Event& e) {
       on_device_complete(e.payload, e.time);
       break;
   }
-}
-
-void Simulator::run_serial() {
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    ++events_processed_;
-    // The recorder's clock shadows the DES clock so passive layers (flash,
-    // cluster, policies) can timestamp without being handed `now`.
-    if (tel_ != nullptr) tel_->set_now(e.time);
-    handle_event(e);
-  }
-}
-
-// Sharded replay.  The event loop itself stays serial -- pop order is the
-// determinism contract -- and the shards pre-execute the flash device work
-// that order has already committed to.  Per batch:
-//
-//   1. Size the window: batch_end = head.time + span, clamped to the next
-//      epoch tick (the tick observes flash wear counters -- adaptive sigma,
-//      monitor-trigger migration -- so flash state at the tick must equal
-//      "every dispatch before the tick executed, none after").
-//   2. Under the calm certificate, find busy OSDs whose in-service request
-//      completes inside the window and whose queue is non-empty.  For each,
-//      a shard worker walks the queued client I/O in FIFO order, replaying
-//      the dispatch-time arithmetic process_one will do (t starts at the
-//      in-service completion; each entry adds overhead + device) and
-//      pre-executing each entry's flash work at its exact dispatch time,
-//      stopping at the first entry that dispatches at/after batch_end or
-//      that the fast-extent path cannot serve.  Barrier.
-//   3. Drain events with time < batch_end serially; process_one consumes
-//      the cached device times in FIFO order (strict identity check).
-//   4. Every cached entry must be consumed by the batch end -- the chains
-//      were sized so their dispatches land inside the window; a leftover
-//      means the prediction diverged, which is a logic error.
-//
-// Why this is exact: under calm, nothing that can change placement,
-// blocking, failure state or service arithmetic fires inside the window,
-// queues only grow at the tail, and an OSD's flash device is touched by
-// exactly one thread (its shard worker at the barrier, the master after
-// it).  Work that lands behind a fully-speculated prefix mid-batch simply
-// falls back to live execution -- still in per-OSD FIFO order.
-void Simulator::run_sharded() {
-  // Window span: ~64 service floors.  Long enough to amortise the barrier
-  // over many completions, short enough that per-OSD chains (queue walks)
-  // stay shallow.  The floor guards degenerate zero-overhead configs.
-  const SimDuration span =
-      64 * std::max<SimDuration>(cfg_.request_overhead_us, 25);
-  while (!events_.empty()) {
-    const SimTime head_time = events_.peek().time;
-    SimTime batch_end = head_time + span;
-    // Clamp the window at every tick that must observe (or mutate) global
-    // state between batches: epoch ticks (temperature decay, wear trigger,
-    // adaptive sigma), telemetry samples (flash erase counters mid-row),
-    // and health checks (transitions spawn drains).  Each becomes a batch
-    // boundary, so their handlers always run with spec_live_ == 0.
-    if (epoch_tick_scheduled_ && next_epoch_tick_ < batch_end) {
-      batch_end = next_epoch_tick_;
-    }
-    if (sample_tick_scheduled_ && next_sample_tick_ < batch_end) {
-      batch_end = next_sample_tick_;
-    }
-    if (health_tick_scheduled_ && next_health_tick_ < batch_end) {
-      batch_end = next_health_tick_;
-    }
-    if (batch_end <= head_time) {
-      // The head event IS the barrier (a tick): run it alone.
-      const Event e = events_.pop();
-      ++events_processed_;
-      if (tel_ != nullptr) tel_->set_now(e.time);
-      handle_event(e);
-      continue;
-    }
-    const std::uint32_t forfeit = batch_forfeit_mask();
-    if (forfeit == 0) {
-      speculate_batch(batch_end);
-    } else {
-      if (forfeit & kSpecForfeitGeometry) ++spec_forfeit_geometry_n_;
-      if (forfeit & kSpecForfeitFaults) ++spec_forfeit_faults_n_;
-      if (forfeit & kSpecForfeitFailure) ++spec_forfeit_failure_n_;
-      if (forfeit & kSpecForfeitRebuild) ++spec_forfeit_rebuild_n_;
-      if (forfeit & kSpecForfeitTrigger) ++spec_forfeit_trigger_n_;
-    }
-    while (!events_.empty() && events_.peek().time < batch_end) {
-      const Event e = events_.pop();
-      ++events_processed_;
-      if (tel_ != nullptr) tel_->set_now(e.time);
-      handle_event(e);
-    }
-    if (spec_live_ != 0) {
-      throw std::logic_error(
-          "Simulator: sharded replay left speculated device work unconsumed "
-          "at a batch boundary (prediction diverged)");
-    }
-  }
-}
-
-std::uint32_t Simulator::batch_forfeit_mask() const {
-  // Anything that can change object placement, blocking/parking, failure
-  // or slowdown state, or the service-time arithmetic *unpredictably*
-  // mid-window forfeits speculation for this batch.  One-shot hooks
-  // (midpoint, legacy fail_osd) count until they have fired; epoch /
-  // sample / health ticks are handled by the window clamps, not here.
-  // The adaptive-sigma estimator and the wear monitor read flash counters
-  // only at their ticks, which the clamps make batch boundaries, so
-  // neither needs an entry.  Telemetry needs none either: trace spans and
-  // counter deltas from speculated GC are buffered per worker and emitted
-  // at consume time, when the recorder clock equals the serial emission
-  // time.  An active mover restricts rather than forfeits: its endpoint
-  // OSDs and in-flight objects are carved out per batch
-  // (refresh_mover_spec_cache), everything else still speculates.
-  // spec_forfeit_ (any parallel-geometry device in the cluster) is
-  // permanent: the fast-extent predictor has no model of die queues, so
-  // those runs always drain serially.
-  std::uint32_t mask = 0;
-  if (spec_forfeit_) mask |= kSpecForfeitGeometry;
-  if (injector_ != nullptr) mask |= kSpecForfeitFaults;
-  if (cluster_.any_failed()) mask |= kSpecForfeitFailure;
-  if (rebuild_running_ || !pending_rebuilds_.empty()) {
-    mask |= kSpecForfeitRebuild;
-  }
-  if ((cfg_.trigger == MigrationTrigger::kForcedMidpoint &&
-       !midpoint_fired_) ||
-      (cfg_.fail_osd >= 0 && !failure_injected_)) {
-    mask |= kSpecForfeitTrigger;
-  }
-  return mask;
-}
-
-void Simulator::refresh_mover_spec_cache() {
-  spec_tainted_oids_.clear();
-  if (spec_excluded_osd_.size() != servers_.size()) {
-    spec_excluded_osd_.assign(servers_.size(), 0);
-  } else {
-    std::fill(spec_excluded_osd_.begin(), spec_excluded_osd_.end(), 0);
-  }
-  // Taint every object a mover lane holds or will touch (its chain walk
-  // must cut there: completion re-times or re-places it mid-batch), and
-  // exclude every OSD whose *flash* a migration mutates outside its own
-  // queue's FIFO: complete_migration trims the source device directly.
-  // Destinations are excluded too -- conservative, but abort paths trim
-  // them and the cost is one OSD-batch of lost speculation.
-  for (const MoverLane& lane : lanes_) {
-    if (lane.active) {
-      spec_tainted_oids_.insert(lane.current.oid);
-      spec_excluded_osd_[lane.current.source] = 1;
-      spec_excluded_osd_[lane.current.destination] = 1;
-    }
-    for (const core::MigrationAction& a : lane.actions) {
-      spec_tainted_oids_.insert(a.oid);
-      // The planned source may be stale by the time the action starts
-      // (admit re-resolves via locate); exclude both to be safe.
-      spec_excluded_osd_[a.source] = 1;
-      spec_excluded_osd_[cluster_.locate(a.oid)] = 1;
-      spec_excluded_osd_[a.destination] = 1;
-    }
-  }
-  // Blocked / parked objects are already in-flight plan moves; their oids
-  // are covered above (blocked_ is populated from lane actions), but the
-  // parked_ map can outlive a lane's action list, so fold both in.
-  for (const ObjectId oid : blocked_) spec_tainted_oids_.insert(oid);
-  for (const auto& [oid, reqs] : parked_) spec_tainted_oids_.insert(oid);
-  spec_restricted_ = !spec_tainted_oids_.empty();
-  spec_mover_cache_valid_ = true;
-}
-
-void Simulator::speculate_batch(SimTime batch_end) {
-  // Mover-window restriction: while migrations are in flight, speculation
-  // continues on every OSD that is not a migration endpoint, with worker
-  // chain walks cut at in-flight objects.  The taint/exclusion sets are
-  // cached across batches; only start_migration / start_drain (which run
-  // at barriers or under forfeit) invalidate, and mid-batch lane progress
-  // only shrinks the true sets, so a stale cache over-approximates safely.
-  const bool restricted =
-      mover_active() || !blocked_.empty() || !parked_.empty();
-  if (restricted && !spec_mover_cache_valid_) refresh_mover_spec_cache();
-  spec_restricted_ = restricted;
-
-  spec_candidates_.clear();
-  for (OsdId i = 0; i < servers_.size(); ++i) {
-    const OsdServer& s = servers_[i];
-    if (!s.busy || s.complete_at >= batch_end || s.queue.empty()) continue;
-    if (restricted && spec_excluded_osd_[i] != 0) {
-      ++spec_excluded_osds_n_;
-      continue;
-    }
-    spec_candidates_.push_back(i);
-  }
-  // One busy OSD gains nothing from a barrier round-trip; the serial
-  // drain executes it just as fast without the handoff.
-  if (spec_candidates_.size() < 2) return;
-  shard_pool_->run_batch(spec_candidates_, [this, batch_end](OsdId osd) {
-    speculate_osd(osd, batch_end);
-  });
-  for (OsdId osd : spec_candidates_) {
-    spec_live_ += spec_[osd].results.size();
-    spec_ios_ += spec_[osd].results.size();
-    spec_tainted_breaks_n_ += spec_[osd].tainted_breaks;
-  }
-  ++spec_batches_;
-}
-
-void Simulator::speculate_osd(OsdId osd, SimTime batch_end) {
-  // Worker context: this thread owns `osd`'s flash device for the batch
-  // and may read immutable-for-the-batch shared state (locate, fast
-  // extents -- the calm certificate froze them).  It must not touch the
-  // event queue, metrics, telemetry, or any other OSD.
-  OsdServer& s = servers_[osd];
-  SpecLane& lane = spec_[osd];
-  lane.results.clear();
-  lane.next = 0;
-  lane.gc_events.clear();
-  lane.tainted_breaks = 0;
-  // Buffer GC telemetry this device produces while pre-executing: the
-  // recorder clock is stale in worker context, so events are parked on
-  // the lane and emitted by the master at consume time (and the Recorder
-  // itself is never touched from this thread).
-  flash::Ssd& ssd = cluster_.osd(osd).ssd();
-  if (tel_ != nullptr) ssd.set_deferred_gc_sink(&lane.gc_events);
-  SimTime t = s.complete_at;  // dispatch time of the next queue entry
-  const std::size_t depth = s.queue.size();
-  for (std::size_t i = 0; i < depth && t < batch_end; ++i) {
-    const SubRequest& req = s.queue.at(i);
-    // Only plain client I/O is chain-predictable; under calm nothing else
-    // should be queued, but break (never skip) so any surprise simply
-    // ends speculation with per-OSD FIFO order intact.
-    if (req.kind != SubRequest::Kind::kClient || req.hedge != kNoHedge) break;
-    const cluster::OsdIo& io = req.io;
-    // In a mover window, an in-flight object's timing or placement can
-    // change mid-batch (migration completion re-homes it, blocking parks
-    // it): cut the chain there and leave the rest to the serial drain.
-    if (spec_restricted_ && spec_tainted_oids_.count(io.oid) != 0) {
-      ++lane.tainted_breaks;
-      break;
-    }
-    if (cluster_.locate(io.oid) != osd) continue;  // redirects cost no time here
-    const cluster::Cluster::FastExtent& fe = cluster_.fast_extent(io.oid);
-    if (fe.pages == 0 || fe.osd != osd) break;  // store path stays serial
-    const std::uint32_t gc_begin =
-        static_cast<std::uint32_t>(lane.gc_events.size());
-    const SimDuration device = cluster_.fast_extent_io(fe, io);
-    lane.results.push_back({req.owner, req.enqueue_time, io.oid, io.first_page,
-                            io.pages, io.is_write, device, gc_begin,
-                            static_cast<std::uint32_t>(lane.gc_events.size())});
-    t += cfg_.request_overhead_us + device;
-  }
-  if (tel_ != nullptr) ssd.set_deferred_gc_sink(nullptr);
-}
-
-SimDuration Simulator::consume_speculated(const SubRequest& req, OsdId osd,
-                                          SimTime now) {
-  SpecLane& lane = spec_[osd];
-  if (lane.next >= lane.results.size()) {
-    // Not speculated: an OSD outside this batch's candidate set, or work
-    // that landed behind the speculated prefix mid-batch.  Either way it
-    // executes live, after every pre-executed entry of this OSD -- FIFO
-    // order on the device is preserved.
-    return execute(req.io, now);
-  }
-  const SpecResult& r = lane.results[lane.next];
-  if (r.owner != req.owner || r.enqueue_time != req.enqueue_time ||
-      r.oid != req.io.oid || r.first_page != req.io.first_page ||
-      r.pages != req.io.pages || r.is_write != req.io.is_write) {
-    throw std::logic_error(
-        "Simulator: sharded replay dispatched a request that does not match "
-        "the speculated queue entry (prediction diverged)");
-  }
-  if (r.gc_end != r.gc_begin) {
-    // Replay the GC telemetry the worker buffered for this I/O.  The
-    // recorder clock now reads the dispatch event's time -- exactly when a
-    // serial run would have executed the device work and emitted -- so the
-    // trace bytes and counter values match the serial replay bit for bit.
-    flash::Ssd& ssd = cluster_.osd(osd).ssd();
-    for (std::uint32_t g = r.gc_begin; g < r.gc_end; ++g) {
-      ssd.emit_gc_event(lane.gc_events[g]);
-    }
-  }
-  ++lane.next;
-  --spec_live_;
-  return r.device_us;
 }
 
 // ---------------------------------------------------------------- clients
@@ -911,13 +612,7 @@ void Simulator::process_one(SubRequest req, OsdId osd, SimTime now) {
     resolve_degraded_client(std::move(req), now);
     return;
   }
-  // Sharded batches pre-execute committed device work on shard workers;
-  // while any of that is live, the cached result -- not a second device
-  // execution -- is the service-time source (spec_live_ is always 0 in
-  // serial mode, so this is one predictable branch).
-  const SimDuration device =
-      spec_live_ != 0 ? consume_speculated(req, osd, now) : execute(req.io, now);
-  SimDuration service = cfg_.request_overhead_us + device;
+  SimDuration service = cfg_.request_overhead_us + execute(req.io, now);
   // Fail-slow degradation: a slowed device multiplies its service time
   // (and may add a seeded intermittent stall).  any_slow() keeps the
   // healthy-cluster fast path to one predictable branch.
@@ -1329,10 +1024,6 @@ void Simulator::start_migration(SimTime now, bool force) {
   for (std::size_t i = 0; i < plan.actions.size(); ++i) {
     lanes_[i % lanes_.size()].actions.push_back(plan.actions[i]);
   }
-  // New mover work: rebuild the speculation taint/exclusion sets before
-  // the next batch.  Triggers fire at epoch ticks (barriers) or under the
-  // trigger forfeit, never inside a speculated window.
-  spec_mover_cache_valid_ = false;
   for (std::uint16_t lane = 0; lane < lanes_.size(); ++lane) {
     advance_lane(lane, now);
   }
@@ -1691,13 +1382,6 @@ bool Simulator::rebuild_lane_touches(const RebuildLane& lane,
 // ---------------------------------------- online health (fail-slow model)
 
 void Simulator::on_health_check(SimTime now) {
-  // Health checks are batch boundaries in sharded mode (the window clamps
-  // at next_health_tick_): monitor evaluation reads per-OSD service
-  // statistics and transitions spawn drains, neither of which may observe
-  // a half-speculated batch.
-  assert(spec_live_ == 0 &&
-         "health check fired inside a speculated batch window");
-  health_tick_scheduled_ = false;
   transition_scratch_.clear();
   monitor_->evaluate(now, transition_scratch_);
   for (const HealthMonitor::Transition& t : transition_scratch_) {
@@ -1707,8 +1391,6 @@ void Simulator::on_health_check(SimTime now) {
   if (clients_active() || mover_active() || rebuild_running_) {
     events_.push(now + cfg_.health.check_interval_us, EventKind::kHealthCheck,
                  0);
-    health_tick_scheduled_ = true;
-    next_health_tick_ = now + cfg_.health.check_interval_us;
   }
 }
 
@@ -1770,9 +1452,6 @@ void Simulator::start_drain(OsdId osd, SimTime now) {
     ++queued;
   }
   if (queued == 0) return;
-  // New mover work: the speculation taint/exclusion sets must be rebuilt
-  // before the next batch.  Runs only at health ticks, which are barriers.
-  spec_mover_cache_valid_ = false;
   ++health_.drain_triggers;
   health_.drain_planned += queued;
   if (migration_.started_at == 0) migration_.started_at = now;
@@ -1902,12 +1581,7 @@ void Simulator::maybe_free_hedge_slot(std::uint32_t slot) {
 // -------------------------------------------------------------- telemetry
 
 void Simulator::on_telemetry_sample(SimTime now) {
-  // Sample rows read live flash counters (erase_count) and queue depths;
-  // in sharded mode the window clamps at next_sample_tick_ so a row never
-  // observes a half-speculated batch.
-  assert(spec_live_ == 0 &&
-         "telemetry sample fired inside a speculated batch window");
-  sample_tick_scheduled_ = false;
+  // Sample rows read live flash counters (erase_count) and queue depths.
   telemetry::SampleRow& row = tel_sampler_->add_row(now);
   if (tel_sampler_->rss_column()) {
     row.peak_rss_bytes = util::peak_rss_bytes();
@@ -1934,20 +1608,12 @@ void Simulator::on_telemetry_sample(SimTime now) {
   if (clients_active() || mover_active() || rebuild_running_) {
     events_.push(now + tel_sampler_->interval_us(),
                  EventKind::kTelemetrySample, 0);
-    sample_tick_scheduled_ = true;
-    next_sample_tick_ = now + tel_sampler_->interval_us();
   }
 }
 
 // ------------------------------------------------------------ bookkeeping
 
 void Simulator::on_epoch_tick(SimTime now) {
-  // Epoch ticks are batch boundaries in sharded mode: the wear trigger and
-  // the adaptive-sigma estimator read flash counters here, which is the
-  // "monitor reads flash only at barriers" invariant that lets monitor-
-  // mode runs keep speculating (docs/internals/sim.md "Sharded replay").
-  assert(spec_live_ == 0 && "epoch tick fired inside a speculated batch");
-  epoch_tick_scheduled_ = false;
   tracker_.advance_epoch();
   ++epochs_since_migration_;
   if (sigma_estimator_) {
@@ -1970,8 +1636,6 @@ void Simulator::on_epoch_tick(SimTime now) {
   }
   if (clients_active() || mover_active()) {
     events_.push(now + cfg_.epoch_length_us, EventKind::kEpochTick, 0);
-    epoch_tick_scheduled_ = true;
-    next_epoch_tick_ = now + cfg_.epoch_length_us;
   }
 }
 
@@ -2009,9 +1673,6 @@ void Simulator::record_response(SimTime now, SimDuration response_us) {
 }
 
 core::ClusterView Simulator::build_view() const {
-  // Planning reads placement, utilization and wear counters wholesale; it
-  // only runs from barrier contexts (epoch ticks, forfeited triggers).
-  assert(spec_live_ == 0 && "plan built inside a speculated batch window");
   core::ClusterView view;
   view.placement = &cluster_.placement();
   view.devices.reserve(cluster_.num_osds());

@@ -18,11 +18,7 @@
 //    minute and, in monitor mode, evaluates the wear-imbalance trigger.
 //
 // The event loop is serial and fully deterministic; parallelism lives one
-// level up, across independent experiment cells (src/runner), and -- with
-// SimConfig::shards > 1 -- one level down, where shard workers pre-execute
-// flash device work the replay is already committed to without touching
-// event order (see docs/internals/sim.md "Sharded replay" for the
-// determinism contract: identical bytes at any shard count).
+// level up, across independent experiment cells (src/runner).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +37,6 @@
 #include "sim/health_monitor.h"
 #include "sim/metrics.h"
 #include "sim/retry_policy.h"
-#include "sim/shard.h"
 #include "trace/record.h"
 #include "util/ewma.h"
 #include "util/ring_queue.h"
@@ -87,13 +82,6 @@ struct SimConfig {
   /// device's channel/die/plane pipeline concurrently, which is what
   /// makes geometry actually buy throughput (bench/ext_parallelism).
   std::uint32_t osd_queue_depth = 1;
-
-  /// Replay shard workers.  1 (default) = the historical fully-serial
-  /// event loop.  N > 1 partitions OSDs onto N worker threads that
-  /// pre-execute committed flash device work in conservative time-windowed
-  /// batches; event pop order -- and therefore every report byte -- is
-  /// identical at any shard count.  See docs/internals/sim.md.
-  std::uint32_t shards = 1;
 
   /// Temperature epoch length; the paper evaluates the wear model "every
   /// minute".
@@ -423,46 +411,8 @@ class Simulator {
   void setup_telemetry();
   void on_telemetry_sample(SimTime now);
 
-  // --- sharded replay (cfg_.shards > 1; see docs/internals/sim.md) ---
-  /// Dispatches one popped event to its handler (the switch shared by the
-  /// serial and sharded drains).
+  /// Dispatches one popped event to its handler.
   void handle_event(const Event& e);
-  void run_serial();
-  void run_sharded();
-  /// The calm certificate, fine-grained: a bitmask of reasons the next
-  /// batch must stay serial (0 = fully calm).  Anything that could change
-  /// placement, blocking state, failure state or service-time computation
-  /// *unpredictably* inside a batch forfeits; conditions the batch window
-  /// already barriers (epoch ticks, telemetry samples, health checks) or
-  /// that restrict only part of the cluster (an in-flight migration's
-  /// endpoint OSDs, blocked/parked objects) do not.
-  enum SpecForfeit : std::uint32_t {
-    kSpecForfeitGeometry = 1u << 0,  // parallel flash geometry (permanent)
-    kSpecForfeitFaults = 1u << 1,    // fail-slow injector attached
-    kSpecForfeitFailure = 1u << 2,   // a failed OSD in the cluster
-    kSpecForfeitRebuild = 1u << 3,   // rebuild running or pending
-    kSpecForfeitTrigger = 1u << 4,   // scripted trigger still unfired
-  };
-  std::uint32_t batch_forfeit_mask() const;
-  /// Rebuilds spec_tainted_oids_ / spec_excluded_osd_ from the mover
-  /// lanes.  Cached: start_migration / start_drain invalidate; mid-batch
-  /// lane advance only shrinks the true sets, so a stale cache is a safe
-  /// over-approximation.
-  void refresh_mover_spec_cache();
-  /// Master side of one batch: collect busy OSDs whose head-of-line work
-  /// certainly dispatches before `batch_end`, fan the chains out to the
-  /// shard workers (barrier), and arm the per-OSD result lanes.
-  void speculate_batch(SimTime batch_end);
-  /// Worker side: chain-pre-execute `osd`'s queued client I/O at exactly
-  /// the dispatch times the serial drain will use, caching device times.
-  void speculate_osd(OsdId osd, SimTime batch_end);
-  /// process_one's service-time source while a batch has live speculation:
-  /// returns the cached device time for the request the worker predicted
-  /// here, or falls back to live execution for work that arrived after the
-  /// speculated prefix.  Throws if the replay dispatches anything else --
-  /// divergence is a bug, never something to paper over.
-  SimDuration consume_speculated(const SubRequest& req, OsdId osd,
-                                 SimTime now);
 
   // --- bookkeeping ---
   void on_epoch_tick(SimTime now);
@@ -500,11 +450,6 @@ class Simulator {
   };
   std::vector<DeviceSlot> device_slots_;
   std::vector<std::uint32_t> free_device_slots_;
-  /// Any parallel-geometry device in the cluster forfeits the sharded
-  /// replay's calm certificate: fast_extent_io cannot predict dispatch
-  /// through die queues without the device-time ordering the serial drain
-  /// provides.
-  bool spec_forfeit_ = false;
   std::vector<Client> clients_;
   std::vector<MoverLane> lanes_;
   std::vector<OpState> ops_;          // op-slot pool
@@ -525,10 +470,10 @@ class Simulator {
 
   std::uint64_t issued_records_ = 0;
   std::uint64_t completed_ops_ = 0;
+  std::uint64_t events_processed_ = 0;  // PerfMetrics::events_processed
   std::uint32_t active_clients_ = 0;
   bool midpoint_fired_ = false;
   std::uint32_t epochs_since_migration_ = 0;
-  bool epoch_tick_scheduled_ = false;
   SimTime last_completion_ = 0;
   bool ran_ = false;
 
@@ -603,68 +548,6 @@ class Simulator {
 
   // scratch to avoid per-op allocation
   std::vector<cluster::OsdIo> io_scratch_;
-
-  // --- sharded-replay state (dormant at cfg_.shards == 1) ---
-  /// One pre-executed queue entry: the identity of the request the worker
-  /// saw (owner + enqueue stamp + io) and the device time it computed.
-  /// consume_speculated checks the identity before trusting the time.
-  struct SpecResult {
-    std::uint32_t owner = 0;
-    SimTime enqueue_time = 0;
-    ObjectId oid = 0;
-    std::uint32_t first_page = 0;
-    std::uint32_t pages = 0;
-    bool is_write = false;
-    SimDuration device_us = 0;
-    /// Half-open range into SpecLane::gc_events: GC telemetry the device
-    /// produced while pre-executing this I/O, buffered by the worker and
-    /// emitted by the master at consume time (when tel_->now() equals the
-    /// serial emission time).
-    std::uint32_t gc_begin = 0;
-    std::uint32_t gc_end = 0;
-  };
-  /// Per-OSD FIFO of speculated results; `next` is the consume cursor.
-  /// A lane left over from a previous batch is always fully consumed
-  /// (next == results.size()) -- enforced at every batch end.
-  /// gc_events / tainted_breaks are written only by the one worker that
-  /// owns this OSD during the batch barrier, read only by the master
-  /// afterwards -- no lock needed.
-  struct SpecLane {
-    std::vector<SpecResult> results;
-    std::size_t next = 0;
-    std::vector<flash::Ssd::GcTelemetryEvent> gc_events;
-    std::uint64_t tainted_breaks = 0;
-  };
-  std::unique_ptr<ShardPool> shard_pool_;  // null at shards == 1
-  std::vector<SpecLane> spec_;             // indexed by OSD
-  std::vector<OsdId> spec_candidates_;     // scratch, reused per batch
-  std::uint64_t spec_live_ = 0;  // speculated entries not yet consumed
-  SimTime next_epoch_tick_ = 0;  // valid while epoch_tick_scheduled_
-  /// Batch-window clamps mirroring next_epoch_tick_: telemetry sample rows
-  /// read flash state and health checks spawn mover work, so both must be
-  /// barriers (speculation never spans them).  Asserted in their handlers.
-  SimTime next_sample_tick_ = 0;   // valid while sample_tick_scheduled_
-  bool sample_tick_scheduled_ = false;
-  SimTime next_health_tick_ = 0;   // valid while health_tick_scheduled_
-  bool health_tick_scheduled_ = false;
-  /// Mover-window speculation cache (refresh_mover_spec_cache): objects
-  /// whose chains the workers must cut, and OSDs excluded from candidacy
-  /// because an in-flight or queued migration touches their flash state.
-  std::unordered_set<ObjectId> spec_tainted_oids_;
-  std::vector<char> spec_excluded_osd_;  // indexed by OSD; 1 = excluded
-  bool spec_mover_cache_valid_ = false;
-  bool spec_restricted_ = false;  // cache has any taint/exclusion entries
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t spec_batches_ = 0;  // batches that ran shard workers
-  std::uint64_t spec_ios_ = 0;      // device I/Os pre-executed on shards
-  // Forfeit-reason / restriction accounting (PerfMetrics; deterministic).
-  std::uint64_t spec_forfeit_geometry_n_ = 0;
-  std::uint64_t spec_forfeit_faults_n_ = 0;
-  std::uint64_t spec_forfeit_failure_n_ = 0;
-  std::uint64_t spec_forfeit_rebuild_n_ = 0;
-  std::uint64_t spec_forfeit_trigger_n_ = 0;
-  std::uint64_t spec_excluded_osds_n_ = 0;
-  std::uint64_t spec_tainted_breaks_n_ = 0;
 };
 
 }  // namespace edm::sim

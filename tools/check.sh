@@ -4,15 +4,14 @@
 # smoke runs that validate the edm-bench-result/1 JSON shape and the
 # streaming-replay RSS ceiling, plus an open-loop smoke asserting
 # per-tenant p99 separation under overload and the workload JSON shape),
-# then the asan-ubsan config plus fault, open-loop, and shards smokes
-# (ext_failslow/ext_openloop --quick under the sanitizers, asserting
-# detector quality and the edm-run-result/4 health JSON shape, plus a
-# --shards 4 vs --shards 1 byte-identity check, a perf_shards --quick
-# JSON-shape run, and a parallelism smoke: --flash-geometry=flat
+# then the asan-ubsan config plus fault, open-loop, composed-features and
+# parallelism smokes (ext_failslow/ext_openloop --quick under the
+# sanitizers, asserting detector quality and the edm-run-result/4 health
+# JSON shape; a monitor-mode run with every optional mechanism on,
+# replayed twice and compared byte for byte; and --flash-geometry=flat
 # byte-identity plus ext_parallelism --quick queue-depth scaling), then
-# the concurrency-sensitive tests (telemetry,
-# thread pool, sweep runner, logging, sharded replay) under
-# ThreadSanitizer (CMakePresets.json).  Any failure aborts.
+# the concurrency-sensitive tests (telemetry, thread pool, sweep runner,
+# logging) under ThreadSanitizer (CMakePresets.json).  Any failure aborts.
 #
 #   tools/check.sh [--fast]   # --fast skips the sanitizer configs
 set -euo pipefail
@@ -212,94 +211,38 @@ EOF
   rm -f "$out"
 }
 
-# Shards smoke: the sharded-replay determinism contract, end to end
-# through the CLI, under whichever build "$1" points at.  A --shards 4
-# replay must emit byte-identical JSON to --shards 1 both on a calm
-# replay and on a full monitor-mode run with tracing and time-series on
-# (report, Chrome trace, and CSV bytes all compared —
-# docs/internals/sim.md), and perf_shards --quick must emit schema-valid
-# JSON with the two-grid cell fields, with monitor cells actually
-# speculating (docs/PERFORMANCE.md "Parallel replay").
-shards_smoke() {
+# Composed-features repeat smoke: the determinism contract, end to end
+# through the CLI, under whichever build "$1" points at.  A monitor-mode
+# run with every optional mechanism composed (CDF on the wear monitor,
+# adaptive sigma, health monitoring with mitigation, tracing and the
+# time-series sampler) is replayed twice; the report, Chrome trace and
+# CSV bytes must all match.
+composed_smoke() {
   local build_dir="$1"
-  echo "== shards smoke (--shards 4 identity + perf_shards --quick, $build_dir) =="
-  local serial sharded
-  serial=$(mktemp)
-  sharded=$(mktemp)
-  "$build_dir/tools/edm_run" --trace=home02 --scale=0.01 --json --quiet \
-      >"$serial"
-  "$build_dir/tools/edm_run" --trace=home02 --scale=0.01 --shards=4 \
-      --json --quiet >"$sharded"
-  if ! cmp -s "$serial" "$sharded"; then
-    echo "shards smoke: --shards 4 JSON differs from --shards 1" >&2
-    diff "$serial" "$sharded" >&2 || true
-    rm -f "$serial" "$sharded"
-    return 1
-  fi
-  echo "shards smoke: calm --shards 4 byte-identical to --shards 1"
-  # Monitor mode used to forfeit speculation wholesale; now it is the
-  # fine-grained calm certificate's proving ground.  Compare all three
-  # output streams byte for byte.
+  echo "== composed-features repeat smoke ($build_dir) =="
   local tmpdir
   tmpdir=$(mktemp -d)
   local monitor_flags=(--trace=home02 --scale=0.02 --policy=cdf
                        --trigger=monitor --lambda=0.01 --adaptive
                        --health --mitigate --json --quiet)
-  "$build_dir/tools/edm_run" "${monitor_flags[@]}" \
-      --trace-out="$tmpdir/t1.json" --timeseries-out="$tmpdir/s1.csv" \
-      >"$tmpdir/r1.json"
-  "$build_dir/tools/edm_run" "${monitor_flags[@]}" --shards=4 \
-      --trace-out="$tmpdir/t4.json" --timeseries-out="$tmpdir/s4.csv" \
-      >"$tmpdir/r4.json"
+  local run
+  for run in 1 2; do
+    "$build_dir/tools/edm_run" "${monitor_flags[@]}" \
+        --trace-out="$tmpdir/t$run.json" \
+        --timeseries-out="$tmpdir/s$run.csv" >"$tmpdir/r$run.json"
+  done
   local stream
   for stream in r t s; do
-    if ! cmp -s "$tmpdir/${stream}1"* "$tmpdir/${stream}4"*; then
-      echo "shards smoke: monitor-mode --shards 4 stream '$stream'" \
-           "differs from --shards 1" >&2
-      diff "$tmpdir/${stream}1"* "$tmpdir/${stream}4"* >&2 || true
-      rm -rf "$tmpdir" "$serial" "$sharded"
+    if ! cmp -s "$tmpdir/${stream}1"* "$tmpdir/${stream}2"*; then
+      echo "composed smoke: stream '$stream' differs between two" \
+           "identical runs" >&2
+      diff "$tmpdir/${stream}1"* "$tmpdir/${stream}2"* >&2 || true
+      rm -rf "$tmpdir"
       return 1
     fi
   done
   rm -rf "$tmpdir"
-  echo "shards smoke: monitor --shards 4 report/trace/time-series byte-identical"
-  local out
-  out=$(mktemp)
-  "$build_dir/bench/perf_shards" --quick --out="$out" >/dev/null
-  python3 - "$out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d.get("bench") == "perf_shards", d.get("bench")
-assert "provenance" in d, "missing provenance"
-assert "hardware_threads" in d, "missing hardware_threads"
-assert d["cells"], "no cells"
-cell_keys = {"mode", "shards", "events_processed", "completed_ops",
-             "spec_batches", "speculated_ios",
-             "spec_forfeit_geometry", "spec_forfeit_faults",
-             "spec_forfeit_failure", "spec_forfeit_rebuild",
-             "spec_forfeit_trigger", "spec_excluded_osds",
-             "spec_tainted_breaks", "replay_wall_s",
-             "setup_wall_s", "events_per_sec", "speedup_vs_serial"}
-counts = {}
-for c in d["cells"]:
-    missing = cell_keys - c.keys()
-    assert not missing, f"cell missing {missing}"
-    assert c["events_processed"] > 0, "empty replay"
-    counts.setdefault(c["mode"], set()).add(
-        (c["events_processed"], c["completed_ops"]))
-assert set(counts) == {"calm", "monitor"}, f"modes: {set(counts)}"
-for mode, seen in counts.items():
-    assert len(seen) == 1, f"{mode}: shard counts disagree: {seen}"
-sharded = [c for c in d["cells"] if c["shards"] > 1]
-assert sharded and all(c["speculated_ios"] > 0 for c in sharded), (
-    "sharded cells speculated nothing -- the shard workers are dead weight")
-print(f"shards smoke: {len(d['cells'])} cells across "
-      f"{len(counts)} modes, deterministic per mode, "
-      "monitor cells speculate, JSON shape ok")
-EOF
-  rm -f "$serial" "$sharded" "$out"
+  echo "composed smoke: report/trace/time-series byte-identical across runs"
 }
 
 # Parallelism smoke: the flash internal-parallelism model, end to end
@@ -379,12 +322,12 @@ if [[ "${1:-}" != "--fast" ]]; then
   run_preset asan-ubsan
   fault_smoke build-asan
   openloop_smoke build-asan
-  shards_smoke build-asan
+  composed_smoke build-asan
   parallelism_smoke build-asan
   run_preset tsan
 else
   fault_smoke build
-  shards_smoke build
+  composed_smoke build
   parallelism_smoke build
 fi
 echo "== all checks passed =="
