@@ -3,7 +3,9 @@
 // qualitative orderings.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "sim/experiment.h"
@@ -130,6 +132,18 @@ struct SweepParam {
   PolicyKind policy;
 };
 
+// Prints the cell as `<trace>_<policy>`.  Without it gtest dumps the raw
+// bytes of the struct, so the test name would carry the (ASLR-randomised)
+// address of `trace` and change from one build to the next.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  std::string name =
+      std::string(param.trace) + "_" + core::to_string(param.policy);
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  *os << name;
+}
+
 class FullMatrixSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(FullMatrixSweep, RunsClean) {
@@ -155,16 +169,8 @@ std::vector<SweepParam> sweep_params() {
   return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCells, FullMatrixSweep, ::testing::ValuesIn(sweep_params()),
-    [](const ::testing::TestParamInfo<SweepParam>& param_info) {
-      std::string name = std::string(param_info.param.trace) + "_" +
-                         core::to_string(param_info.param.policy);
-      for (char& ch : name) {
-        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllCells, FullMatrixSweep,
+                         ::testing::ValuesIn(sweep_params()));
 
 }  // namespace
 }  // namespace edm
